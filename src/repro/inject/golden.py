@@ -42,9 +42,7 @@ class GoldenTrace:
     final_snapshot: List[int] = field(default_factory=list)
     # Fault-free access-activity trace for the bit-plane batched engine
     # (:class:`repro.perf.batch.ActivityTrace`).  Attached lazily on
-    # first batched use and persisted via the golden cache; traces
-    # pickled before this field existed unpickle without the attribute,
-    # so consumers read it with ``getattr(trace, "activity", None)``.
+    # first batched use and persisted via the golden cache.
     activity: Optional[object] = None
 
 

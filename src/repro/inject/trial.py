@@ -240,7 +240,3 @@ def compare_retired(record, golden_record, insn_pages):
     if dest != gdest or value != gvalue:
         return FailureMode.REGFILE
     return None
-
-
-# Backwards-compatible private alias (pre-batch-engine name).
-_compare_retired = compare_retired

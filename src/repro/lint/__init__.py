@@ -27,7 +27,7 @@ REP004    category inventory: every allocated ``StateCategory`` is one
           silently drop a category).
 REP005    signature bypass: state-element writes must go through the
           signature-maintaining ``Field``/``StateSpace`` paths, never
-          raw ``.values`` mutation.
+          raw ``.values`` or ``._sig`` mutation.
 ========  ==============================================================
 
 Run it as ``python -m repro.lint [--format json] [paths...]`` or

@@ -1,33 +1,37 @@
 """REP005: signature-bypass lint.
 
 The state signature is maintained *incrementally*: every
-:class:`~repro.uarch.statelib.Field` write XOR-rolls the changed
-element's contribution into the running signature, which is what makes
-``StateSpace.signature()`` O(1) per cycle.  The invariant only holds if
-every mutation of the backing ``values`` list goes through the
+:class:`~repro.uarch.statelib.Field` write adds the changed element's
+keyed delta ``(new - old) * key`` to the running signature, which is
+what makes ``StateSpace.signature()`` O(1) per cycle.  The invariant
+only holds if every mutation of the backing ``values`` list, and of
+the shared ``_sig`` signature cell, goes through the
 signature-maintaining paths -- ``Field.set`` / ``Field.flip``,
-``StateSpace.flip_bit``, or ``StateSpace.restore``.
+``StateSpace.flip_bit`` / ``apply_fault`` / ``force_bit``, or
+``StateSpace.restore``.
 
 A direct write such as ``space.values[i] = x`` (or through a cached
-``self._values`` alias) silently desynchronises the rolled signature
-from the state it summarises: golden/trial comparison then
-misclassifies trials, which ``verify_golden`` only catches when it
-happens inside a verified window.  This rule flags the bypass at the
-source instead:
+``self._values`` alias) silently desynchronises the signature from the
+state it summarises, and a store to the cell itself
+(``field._sig[0] += d``) fakes a state change that never happened:
+golden/trial comparison then misclassifies trials, which
+``verify_golden`` only catches when it happens inside a verified
+window.  This rule flags the bypass at the source instead:
 
 * subscript stores -- ``X.values[i] = v``, ``X.values[i] ^= m``,
-  ``X.values[:] = snap``, ``del X.values[i]``;
+  ``X.values[:] = snap``, ``del X.values[i]``, ``X._sig[0] = s``,
+  ``X._sig[0] += d``;
 * rebinding the attribute itself -- ``X.values = [...]`` (the
-  signature cell keeps summarising the *old* list);
+  signature cell keeps summarising the *old* list), ``X._sig = [s]``;
 * in-place mutator calls -- ``X.values.append(...)``, ``.extend``,
   ``.insert``, ``.pop``, ``.remove``, ``.clear``, ``.sort``,
-  ``.reverse``.
+  ``.reverse`` (on ``._sig`` too).
 
 ``X.values()`` *calls* (dict views and the like) are reads and are
 never flagged.  :mod:`repro.uarch.statelib` itself is exempt -- it is
-the one module allowed to touch the list, because it is where the
-signature is maintained.  A deliberate read-only alias is suppressed
-inline with ``# repro-lint: allow=REP005 (reason)``.
+the one module allowed to touch the list and the cell, because it is
+where the signature is maintained.  A deliberate read-only alias is
+suppressed inline with ``# repro-lint: allow=REP005 (reason)``.
 """
 
 import ast
@@ -54,14 +58,19 @@ def _is_state_list(node):
     return isinstance(node, ast.Attribute) and node.attr in _STATE_ATTRS
 
 
+def _is_sig_cell(node):
+    """True for an ``<expr>._sig`` attribute (the shared signature cell)."""
+    return isinstance(node, ast.Attribute) and node.attr == "_sig"
+
+
 @register
 class SignatureBypassChecker(Checker):
-    """Forbid raw mutation of the signature-tracked element list."""
+    """Forbid raw mutation of the element list and the signature cell."""
 
     rule_id = "REP005"
     description = ("state-element writes must go through the signature-"
                    "maintaining Field/StateSpace paths, never raw "
-                   ".values mutation")
+                   ".values or ._sig mutation")
 
     def check(self, module, project):
         if module.path.replace("\\", "/").endswith(_EXEMPT_SUFFIX):
@@ -82,7 +91,14 @@ class SignatureBypassChecker(Checker):
         else:
             targets = node.targets  # ast.Delete
         for target in targets:
-            if isinstance(target, ast.Subscript) \
+            if _is_sig_cell(target) or (isinstance(target, ast.Subscript)
+                                        and _is_sig_cell(target.value)):
+                yield self.finding(
+                    module, target,
+                    "store to the ._sig signature cell outside statelib "
+                    "moves the state signature without a state change; "
+                    "only the Field/StateSpace write paths may update it")
+            elif isinstance(target, ast.Subscript) \
                     and _is_state_list(target.value):
                 yield self.finding(
                     module, target,
@@ -101,10 +117,10 @@ class SignatureBypassChecker(Checker):
     def _check_mutator(self, module, node):
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in _MUTATORS \
-                and _is_state_list(func.value):
+                and (_is_state_list(func.value) or _is_sig_cell(func.value)):
             yield self.finding(
                 module, node,
-                ".%s.%s(...) mutates the element list without updating "
-                "the incremental state signature; go through the "
-                "Field/StateSpace write paths"
+                ".%s.%s(...) mutates signature-tracked state without "
+                "updating the incremental state signature; go through "
+                "the Field/StateSpace write paths"
                 % (func.value.attr, func.attr))

@@ -4,7 +4,7 @@ The paper's headline result -- most single-bit faults are masked -- is
 also a performance theorem: a masked trial's pipeline behaves
 *cycle-for-cycle identically* to the golden run, because its one
 corrupted element is either never read before being overwritten, or
-hashes to the same Zobrist signature once cleared.  Paying a full
+matches golden's keyed state signature once cleared.  Paying a full
 Python cycle loop per such trial simulates nothing new.
 
 This module therefore never simulates the common case at all.  For a
@@ -33,14 +33,15 @@ Correctness argument, per lane with fault in element ``e``:
 * Until ``e`` is read, every other element equals golden, so the lane's
   pipeline would execute the same reads/writes/retirements as golden
   -- the activity trace *is* the lane's trace.
-* The rolling signature differs from golden's by the constant XOR
-  ``hash((e, v)) ^ hash((e, v ^ bit))`` until ``e`` is written; a
-  golden-value write (first access = write) clears the fault exactly,
-  making the signature match at that cycle's boundary (MICRO_MATCH) --
-  unless the deadlock check fires first, in scalar check order.
-* A zero XOR delta (hash collision) means the scalar loop would see a
-  matching signature at the first boundary the earlier checks pass --
-  the walk models that as an immediately-matching lane.
+* The signature differs from golden's by the constant
+  ``(v' - v) * k_e`` (:mod:`repro.uarch.statelib`'s keyed linear sum)
+  until ``e`` is written.  That delta is never 0: every plan's mask is
+  nonzero within ``e``'s width (``plan_lanes`` draws in-width bits,
+  explicit plans are checked) and ``k_e`` is odd.  So a lane cannot
+  signature-match while dirty, and a golden-value write (first access
+  = write) clears the fault exactly, making the signature match at
+  that cycle's boundary (MICRO_MATCH) -- unless the deadlock check
+  fires first, in scalar check order.
 * First-access stamping resolves same-cycle read/write races with the
   right semantics: a write-before-read clears the fault before any
   consumer sees it (no lane-out), a read-before-write diverges (lane
@@ -115,8 +116,7 @@ class ActivityTrace:
     to any divergence cycle.
 
     Attached lazily to :class:`repro.inject.golden.GoldenTrace` (the
-    ``activity`` field) and persisted through the golden cache; traces
-    pickled before this field existed simply lack it.
+    ``activity`` field) and persisted through the golden cache.
     """
 
     version: int
@@ -315,15 +315,6 @@ def plan_lanes(space, sp_rng, kinds, trial_indices, model=None):
     return plans
 
 
-def _normalize_plan(plan, space):
-    """Accept legacy explicit ``(trial_index, element_index, bit)`` plans."""
-    if len(plan) == 3:
-        trial_index, element_index, bit = plan
-        width = space.elements[element_index].width
-        return (trial_index, element_index, bit, 1 << (bit % width), None)
-    return plan
-
-
 def _gather(plane, lanes_by_element):
     """OR of the lane masks of every element set in ``plane``."""
     mask = 0
@@ -334,9 +325,8 @@ def _gather(plane, lanes_by_element):
     return mask
 
 
-def _walk_planes(alive, element_plane, lanes_by_element, deltazero,
-                 reads, writes, visible, retires, locked_threshold,
-                 horizon):
+def _walk_planes(alive, element_plane, lanes_by_element, reads, writes,
+                 visible, retires, locked_threshold, horizon):
     """Classify lanes against the activity trace; the batched kernel.
 
     Per cycle, in the scalar loop's boundary-check order: a golden
@@ -344,8 +334,8 @@ def _walk_planes(alive, element_plane, lanes_by_element, deltazero,
     boundary check -- the read happened mid-cycle); a golden *write*
     clears it; a committed-view exposure of a still-dirty element
     diverges it; the deadlock gap terminates every remaining lane;
-    cleared and zero-delta lanes signature-match.  Lanes surviving the
-    horizon are Gray Area.
+    cleared lanes signature-match.  Lanes surviving the horizon are
+    Gray Area.
 
     Returns ``(laneouts, matched, locked, gray)``: the first three are
     ``(cycle, lane_mask)`` event lists, ``gray`` is the final survivor
@@ -380,7 +370,7 @@ def _walk_planes(alive, element_plane, lanes_by_element, deltazero,
                 locked.append((cycle, alive))
                 alive = 0
             break
-        match = (cleared | deltazero) & alive
+        match = cleared & alive
         if match:
             matched.append((cycle, match))
             alive &= ~match
@@ -398,23 +388,24 @@ def run_batch_group(pipeline, checkpoint, golden, sp_rng, kinds,
     and its ``(workload_name, start_point)`` store arguments are the
     key) let a freshly recorded activity trace be persisted onto the
     cached golden entry.  ``plans`` overrides RNG-driven lane planning
-    with explicit ``(trial_index, element_index, bit)`` (or mask-bearing
-    5-tuple) plans -- used by equivalence tests and importance-sampling
-    callers.  ``model`` is an optional *batchable*
+    with explicit ``(trial_index, element_index, bit, mask, fault)``
+    plans -- used by equivalence tests and importance-sampling callers;
+    a mask that disturbs nothing within its element is rejected.
+    ``model`` is an optional *batchable*
     :class:`~repro.faultlib.FaultModel`: its single-element XOR masks
     ride the plane walk exactly like single bits (the walk is
     element-granular; a golden write still clears the whole mask, and
-    the Zobrist delta of a mask is as constant as a bit's).  Unbatchable
-    models (multi-element bursts, persistent stuck-at/intermittent)
-    must take the scalar path -- ``WorkerContext.run_batch`` gates on
-    ``model.batchable``.
+    the signature delta of a mask is as constant as a bit's).
+    Unbatchable models (multi-element bursts, persistent
+    stuck-at/intermittent) must take the scalar path --
+    ``WorkerContext.run_batch`` gates on ``model.batchable``.
 
     Returns a :class:`BatchOutcome` with trials in ``trial_indices``
     order, byte-identical to what ``run_trial`` would produce lane by
     lane.
     """
     horizon = horizon or golden.horizon
-    activity = getattr(golden, "activity", None)
+    activity = golden.activity
     if (activity is None or activity.version != ACTIVITY_VERSION
             or activity.horizon < horizon):
         activity = record_activity(pipeline, checkpoint, golden,
@@ -426,27 +417,23 @@ def run_batch_group(pipeline, checkpoint, golden, sp_rng, kinds,
     space = pipeline.space
     if plans is None:
         plans = plan_lanes(space, sp_rng, kinds, trial_indices, model)
-    else:
-        plans = [_normalize_plan(plan, space) for plan in plans]
     n_lanes = len(plans)
 
-    values = checkpoint[0]  # element values at the injection point
     lanes_by_element = {}
     element_plane = 0
-    deltazero = 0
     for lane in range(n_lanes):
-        _trial_index, element_index, _bit, mask, _fault = plans[lane]
-        old = values[element_index]
-        new = old ^ mask
-        if hash((element_index, old)) == hash((element_index, new)):
-            deltazero |= 1 << lane
+        trial_index, element_index, _bit, mask, _fault = plans[lane]
+        if not mask & ((1 << space.elements[element_index].width) - 1):
+            raise SimulationError(
+                "plan for trial %d disturbs nothing in element %d"
+                % (trial_index, element_index))
         lanes_by_element[element_index] = (
             lanes_by_element.get(element_index, 0) | (1 << lane))
         element_plane |= 1 << element_index
 
     locked_threshold = locked_multiplier * pipeline.config.deadlock_cycles
     laneouts, matched, locked, gray = _walk_planes(
-        (1 << n_lanes) - 1, element_plane, lanes_by_element, deltazero,
+        (1 << n_lanes) - 1, element_plane, lanes_by_element,
         activity.reads, activity.writes, activity.visible,
         activity.retires, locked_threshold, horizon)
 
@@ -514,7 +501,7 @@ def run_batch_group(pipeline, checkpoint, golden, sp_rng, kinds,
         # The replay jumps via the activity trace's recorded golden
         # checkpoints, so reaching a divergence cycle costs at most
         # ``_CHECKPOINT_EVERY - 1`` simulated cycles.
-        checkpoints = getattr(activity, "checkpoints", None) or {}
+        checkpoints = activity.checkpoints
         laneouts.sort()
         cycles_done = 0
         for cycle, mask in laneouts:

@@ -23,9 +23,10 @@ Integrity comes from an on-disk envelope: entries are written as
 entry is *detected* rather than unpickled into every pool worker
 identically.  A corrupt entry is quarantined to
 ``<dir>/quarantine/`` (kept for forensics) and transparently
-re-recorded; a mismatched-but-intact entry (another campaign's data)
-is simply ignored.  Legacy entries written before the envelope -- a
-plain pickle -- still load, so warm caches survive the upgrade.
+re-recorded; a mismatched-but-intact entry (another campaign's data, or
+an older format) is simply ignored and re-recorded over.  Files
+without the envelope are ignored the same way: the cache is
+rebuildable, so there is no legacy loader.
 
 A mismatched or unreadable entry can never change what a trial
 computes, only how often the deterministic preparation is repeated.
@@ -33,16 +34,16 @@ Writes go through a temp file plus ``os.replace`` so concurrent
 workers racing on the same entry each land a complete file and nobody
 ever reads a torn one.
 
-Signatures inside cached traces are portable because the incremental
-scheme hashes plain ints, which CPython hashes identically in every
-process (``PYTHONHASHSEED`` randomizes str/bytes only).
+The format is 2.  Format 1 cached hash-XOR state signatures, which
+CPython's modulo-(2**61 - 1) int hash made collide (7 and 2**64 - 1
+in one 64-bit element); format 2 caches the keyed linear signatures
+of :mod:`repro.uarch.statelib`, pure integer arithmetic and therefore
+portable across processes and Python versions.
 
 The bit-plane batched engine (:mod:`repro.perf.batch`) attaches its
 fault-free *activity trace* to ``GoldenTrace.activity`` and re-stores
 the entry through this cache, so the one-time recording is shared like
-the golden window itself.  The cache format stays at version 1:
-entries pickled before the field existed unpickle without it and the
-batch engine records and re-stores it transparently on first use.
+the golden window itself.
 """
 
 import hashlib
@@ -56,10 +57,9 @@ from repro.inject.store import campaign_fingerprint
 
 __all__ = ["GoldenCache", "QUARANTINE_DIR"]
 
-# Bump when the cached payload's shape changes incompatibly.  The
-# checksum envelope is a *file framing* change, detected by magic, not
-# a payload change -- legacy plain-pickle entries remain loadable.
-CACHE_FORMAT = 1
+# Bump when the cached payload's shape or meaning changes
+# incompatibly (2: keyed linear state signatures).
+CACHE_FORMAT = 2
 
 # Envelope: magic + little-endian CRC32 of the payload + payload.
 _MAGIC = b"RGCK"
@@ -94,6 +94,10 @@ class GoldenCache:
         return os.path.join(
             self.directory, "%s-sp%d.pkl" % (workload_name, start_point))
 
+    def has(self, workload_name, start_point):
+        """Whether an entry file exists (it may still fail to load)."""
+        return os.path.exists(self._path(workload_name, start_point))
+
     def load(self, workload_name, start_point):
         """The cached ``(checkpoint, golden)`` pair, or None."""
         path = self._path(workload_name, start_point)
@@ -102,26 +106,23 @@ class GoldenCache:
                 blob = fh.read()
         except OSError:
             return None
-        enveloped = blob.startswith(_MAGIC)
-        if enveloped:
-            if len(blob) < _HEADER.size:
-                self._quarantine(path, "truncated envelope")
-                return None
-            _magic, expected = _HEADER.unpack_from(blob)
-            payload = blob[_HEADER.size:]
-            if zlib.crc32(payload) & 0xFFFFFFFF != expected:
-                self._quarantine(path, "checksum mismatch")
-                return None
-        else:
-            payload = blob  # legacy pre-envelope entry: plain pickle
+        if not blob.startswith(_MAGIC):
+            return None  # not an entry this cache wrote: re-record
+        if len(blob) < _HEADER.size:
+            self._quarantine(path, "truncated envelope")
+            return None
+        _magic, expected = _HEADER.unpack_from(blob)
+        payload = blob[_HEADER.size:]
+        if zlib.crc32(payload) & 0xFFFFFFFF != expected:
+            self._quarantine(path, "checksum mismatch")
+            return None
         try:
             entry = pickle.loads(payload)
         except _PICKLE_ERRORS:
-            if enveloped:
-                # The checksum held but the payload does not unpickle:
-                # the entry is damaged beyond its framing (or written
-                # by an incompatible pickler) -- keep it for forensics.
-                self._quarantine(path, "undecodable payload")
+            # The checksum held but the payload does not unpickle: the
+            # entry is damaged beyond its framing (or written by an
+            # incompatible pickler) -- keep it for forensics.
+            self._quarantine(path, "undecodable payload")
             return None
         if not isinstance(entry, dict) or entry.get("tag") != self._tag:
             return None  # another campaign's (or format's) valid entry

@@ -51,6 +51,7 @@ from repro.inject.golden import workload_page_sets
 from repro.inject.outcome import TrialResult
 from repro.inject.store import inventory_from_dict
 from repro.obs import merge_profile, render_profile
+from repro.perf.goldencache import GoldenCache
 from repro.runner.journal import JournalWriter, write_metrics
 from repro.runner.pool import WorkerContext, WorkerPool
 from repro.runner.resume import load_resume_state
@@ -286,14 +287,24 @@ class CampaignRunner:
             self.chaos.on_trial(len(results), self)
 
     def _shared_page_sets(self, pending):
-        """TLB-preload page sets for every workload with pending units.
+        """TLB-preload page sets for every workload that records golden.
 
         Computed once in the parent (the serial runner's total cost) and
         shared with all workers instead of being re-derived per process;
         the sets come from a deterministic fault-free functional run, so
-        sharing cannot change any trial.
+        sharing cannot change any trial.  Only recording a golden window
+        needs them (trials read the golden trace's copy), so workloads
+        whose pending start points all have golden-cache entries are
+        skipped; a worker that finds such an entry unloadable computes
+        the sets itself.
         """
-        names = sorted({unit.workload for unit in pending})
+        golden_dir = self._golden_dir()
+        cache = None if golden_dir is None else GoldenCache(
+            golden_dir, self.config, self.pipeline_config)
+        names = sorted({
+            unit.workload for unit in pending
+            if cache is None
+            or not cache.has(unit.workload, unit.start_point)})
         page_sets = {}
         for name in names:
             workload = get_workload(name, scale=self.config.scale)

@@ -42,10 +42,8 @@ __all__ = ["WorkerContext", "WorkerPool"]
 class _WorkloadState:
     """One workload's pipeline, positioned at its latest start point."""
 
-    def __init__(self, pipeline, insn_pages, data_pages, wl_rng):
+    def __init__(self, pipeline, wl_rng):
         self.pipeline = pipeline
-        self.insn_pages = insn_pages
-        self.data_pages = data_pages
         self.wl_rng = wl_rng
         self.warmed = False  # warmup cycles run (skipped on cache hits)
         self.start_point = -1  # last checkpointed start point
@@ -83,8 +81,10 @@ class WorkerContext:
         # (provenance/profile flags), else None -- zero overhead.
         self.observer = observer if observer is not None \
             else observer_from_config(config)
-        # (insn_pages, data_pages) per workload.  The engine precomputes
-        # these once and shares them with every worker: they come from a
+        # (insn_pages, data_pages) per workload, needed only to record a
+        # golden window (trials read them from the golden trace).  The
+        # engine precomputes these once for workloads it expects to
+        # record and shares them with every worker: they come from a
         # deterministic fault-free functional run, so who computes them
         # cannot matter, and recomputing per worker is pure waste.
         self._page_sets = dict(page_sets) if page_sets else {}
@@ -230,9 +230,10 @@ class WorkerContext:
             state.checkpoint = pipeline.checkpoint()
             state.golden = None
         if state.golden is None:
+            insn_pages, data_pages = self._pages(workload_name, pipeline)
             state.golden = record_golden(
                 pipeline, state.checkpoint, config.horizon, config.margin,
-                state.insn_pages, state.data_pages,
+                insn_pages, data_pages,
                 verify_replay=config.verify_golden and start_point == 0)
             state.sp_rng = state.wl_rng.split("sp/%d" % start_point)
             if cache is not None:
@@ -249,18 +250,21 @@ class WorkerContext:
         if len(prepared) > self._prepared_cap:
             prepared.pop(next(iter(prepared)))
 
+    def _pages(self, workload_name, pipeline):
+        """The workload's TLB page sets, computed on first golden record."""
+        pages = self._page_sets.get(workload_name)
+        if pages is None:
+            pages = workload_page_sets(pipeline.program)
+            self._page_sets[workload_name] = pages
+        return pages
+
     def _fresh(self, workload_name):
         """A reset-state pipeline; warmup is deferred to ``_prepare``
         so a golden-cache hit never simulates a cycle."""
         workload = get_workload(workload_name, scale=self.config.scale)
-        pages = self._page_sets.get(workload_name)
-        if pages is None:
-            pages = workload_page_sets(workload.program)
-            self._page_sets[workload_name] = pages
-        insn_pages, data_pages = pages
         pipeline = Pipeline(workload.program, self.pipeline_config)
         wl_rng = self._rng_root.split("workload/%s" % workload_name)
-        return _WorkloadState(pipeline, insn_pages, data_pages, wl_rng)
+        return _WorkloadState(pipeline, wl_rng)
 
 
 # -- Pool ----------------------------------------------------------------------
@@ -424,9 +428,9 @@ class WorkerPool:
                     pass
         for worker in self.workers:
             worker.process.join(timeout=2.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=2.0)
-            worker.tasks.close()
+            # A worker stopped by SIGSTOP ignores the sentinel and SIGTERM;
+            # _reap escalates to SIGKILL, or interpreter exit (which joins
+            # daemonic children without a timeout) would hang on it.
+            self._reap(worker)
         self.results.close()
         self.results.cancel_join_thread()

@@ -17,22 +17,33 @@ Each element carries:
 
 Values live in one flat list so snapshot/restore are single C-speed
 operations, and the microarchitectural signature is maintained
-*incrementally*: every element carries a per-(index, value) hash
-contribution, XOR-rolled into a running total on each write
-(Zobrist hashing), so :meth:`StateSpace.signature` is O(1) per cycle
-instead of O(#elements).  The contributions use ``hash((index,
-value))`` over plain ints, which CPython computes identically in every
-process regardless of ``PYTHONHASHSEED`` (hash randomization covers
-str/bytes only) -- signatures recorded by one worker are valid in all
-of them and across runs.  The full recompute survives as the
-``signature(full=True)`` debug path; ``verify_golden`` asserts the two
-agree, and lint rule REP005 statically rejects writes that bypass the
-signature-maintaining path.
+*incrementally* as a keyed linear sum: every non-ghost element ``i``
+has a fixed odd 61-bit key ``k_i`` (:func:`_signature_key`, a
+splitmix64 mix of the index -- pure integer arithmetic, so identical in
+every process and on every Python version), and the signature is the
+exact integer ``sum(value_i * k_i)``.  A changing write adds
+``(new - old) * k_i`` -- one subtraction, one multiplication, one
+addition -- so :meth:`StateSpace.signature` is O(1) per cycle instead
+of O(#elements).
+
+Correctness: states differing in one element by ``d != 0`` -- an
+injected fault before it spreads -- have signatures differing by
+``d * k_i``, never 0 since ``k_i`` is odd and the sum is exact (never
+reduced modulo a power of two, which would make ``d = 2**64``, bit 64
+of a 65-bit regfile word, vanish).  Multi-element differences collide
+only if ``sum(d_i * k_i) == 0`` for pseudo-random 61-bit keys.
+
+The delta is applied in one place, :meth:`Field.set`; allocation,
+``Field.flip``, ``flip_bit``, ``apply_fault`` and ``force_bit`` route
+through it.  ``signature(full=True)`` recomputes over the same key
+table; ``record_golden`` and ``verify_golden`` assert the two agree,
+and lint rule REP005 rejects writes that bypass ``Field.set``.
 """
 
 import bisect
 import enum
 from dataclasses import dataclass
+from operator import mul
 
 from repro.errors import SimulationError
 
@@ -108,6 +119,20 @@ REPORTED_CATEGORIES = (
 
 _REPORTED_SET = frozenset(REPORTED_CATEGORIES)
 
+_MASK64 = (1 << 64) - 1
+
+
+def _signature_key(index):
+    """The fixed odd 61-bit signature key of element ``index``.
+
+    splitmix64's finalizer over ``index + 1``; the top 61 bits, forced
+    odd so that no nonzero value difference times the key is 0.
+    """
+    z = ((index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return ((z ^ (z >> 31)) >> 3) | 1
+
 
 @dataclass(frozen=True)
 class ElementMeta:
@@ -127,7 +152,7 @@ class StateSnapshot(list):
     Behaves exactly like the plain list it subclasses (element-wise
     compare, iteration, indexing), so every existing consumer of
     ``snapshot()`` is unaffected; ``restore()`` uses the carried ``sig``
-    to reset the rolling signature in O(1) instead of recomputing over
+    to reset the signature in O(1) instead of recomputing over
     every element.  Plain lists are still accepted by ``restore`` (the
     signature is then recomputed), so pickled or hand-built snapshots
     keep working.
@@ -151,26 +176,31 @@ class Field:
     Reads and writes are width-masked, so a corrupted value can never
     exceed its hardware width -- the defensive-simulation ground rule.
 
-    Writes also maintain the space's rolling signature: ``_sig`` is a
-    shared one-element cell (cheaper to update than an attribute on the
-    space) and ``_salt`` is the element's hash salt -- its index, or
-    None for ghost elements, which are excluded from the signature.
+    Writes also maintain the space's signature: ``_sig`` is a shared
+    one-element cell (cheaper to update than an attribute on the
+    space) and ``_key`` is the element's signature key -- 0 for ghost
+    elements, which are excluded from the signature.
     """
 
-    __slots__ = ("_values", "index", "width", "_mask", "_sig", "_salt")
+    __slots__ = ("_values", "index", "width", "_mask", "_sig", "_key")
 
-    def __init__(self, space, index, width, salt=None):
+    def __init__(self, space, index, width, key):
         self._values = space.values
         self._sig = space._sig
         self.index = index
         self.width = width
         self._mask = (1 << width) - 1
-        self._salt = salt
+        self._key = key
 
     def get(self):
         return self._values[self.index]
 
     def set(self, value):
+        """Store ``value`` (width-masked): the one signature-maintaining write.
+
+        Other writers here call it unbound, so the batch engine's
+        activity-recorder hook never sees injections.
+        """
         value &= self._mask
         values = self._values
         index = self.index
@@ -178,20 +208,11 @@ class Field:
         if old == value:
             return
         values[index] = value
-        salt = self._salt
-        if salt is not None:
-            self._sig[0] ^= hash((salt, old)) ^ hash((salt, value))
+        self._sig[0] += (value - old) * self._key
 
     def flip(self, bit):
         """Invert one bit (the single-event-upset fault model)."""
-        values = self._values
-        index = self.index
-        old = values[index]
-        new = old ^ (1 << (bit % self.width))
-        values[index] = new
-        salt = self._salt
-        if salt is not None:
-            self._sig[0] ^= hash((salt, old)) ^ hash((salt, new))
+        Field.set(self, self._values[self.index] ^ (1 << (bit % self.width)))
 
     def __repr__(self):
         return "Field(#%d, %d bits, value=%d)" % (
@@ -205,11 +226,12 @@ class StateSpace:
         self.values = []
         self.elements = []
         self.handles = []  # Field handle per element, same order as values
-        # Rolling XOR of hash((index, value)) over all non-ghost
-        # elements, shared with every Field as a one-element cell.
+        # Signature key per element (0 for ghosts), same order as values.
+        self._keys = []
+        # sum(value * key) over all elements, shared with every Field
+        # as a one-element cell.
         self._sig = [0]
         self._frozen = False
-        self._signature_indices = None
         self._injection_tables = {}
         self._array_groups = None
 
@@ -230,17 +252,14 @@ class StateSpace:
                 "does not aggregate; add it to TABLE1_CATEGORIES or "
                 "PROTECTION_CATEGORIES in statelib" % (name, category))
         index = len(self.values)
-        value = reset & ((1 << width) - 1)
-        self.values.append(value)
+        self.values.append(0)
         self.elements.append(
             ElementMeta(index, name, width, category, kind, injectable))
-        if category == StateCategory.GHOST:
-            salt = None
-        else:
-            salt = index
-            self._sig[0] ^= hash((salt, value))
-        field = Field(self, index, width, salt)
+        key = 0 if category == StateCategory.GHOST else _signature_key(index)
+        self._keys.append(key)
+        field = Field(self, index, width, key)
         self.handles.append(field)
+        Field.set(field, reset)
         return field
 
     def array(self, name, count, width, category, kind, injectable=True):
@@ -251,12 +270,8 @@ class StateSpace:
         ]
 
     def freeze(self):
-        """Finish allocation; precompute signature and injection tables."""
+        """Finish allocation."""
         self._frozen = True
-        self._signature_indices = tuple(
-            meta.index for meta in self.elements
-            if meta.category != StateCategory.GHOST
-        )
 
     # -- Inventory ----------------------------------------------------------
 
@@ -330,36 +345,21 @@ class StateSpace:
 
     def flip_bit(self, element_index, bit):
         """Apply a single-bit upset to an element chosen by index."""
-        meta = self.elements[element_index]
-        values = self.values
-        old = values[element_index]
-        new = old ^ (1 << (bit % meta.width))
-        values[element_index] = new
-        if meta.category != StateCategory.GHOST:
-            self._sig[0] ^= (hash((element_index, old))
-                             ^ hash((element_index, new)))
-        return meta
+        Field.flip(self.handles[element_index], bit)
+        return self.elements[element_index]
 
     def apply_fault(self, element_index, mask):
         """XOR a disturbance mask into one element (multi-bit upsets).
 
         The mask is clamped to the element's width, so a fault can never
-        widen a value past its hardware width.  Maintains the rolling
-        signature exactly like :meth:`flip_bit`; applying the same mask
-        twice is the identity (XOR), which is what :meth:`undo_fault`
-        relies on.
+        widen a value past its hardware width (a mask that clamps to 0
+        changes nothing).  Maintains the signature exactly like
+        :meth:`flip_bit`; applying the same mask twice is the identity
+        (XOR), which is what :meth:`undo_fault` relies on.
         """
-        meta = self.elements[element_index]
-        values = self.values
-        old = values[element_index]
-        new = old ^ (mask & ((1 << meta.width) - 1))
-        if new == old:
-            return meta
-        values[element_index] = new
-        if meta.category != StateCategory.GHOST:
-            self._sig[0] ^= (hash((element_index, old))
-                             ^ hash((element_index, new)))
-        return meta
+        Field.set(self.handles[element_index],
+                  self.values[element_index] ^ mask)
+        return self.elements[element_index]
 
     def undo_fault(self, element_index, mask):
         """Revert a disturbance applied by :meth:`apply_fault`.
@@ -375,20 +375,16 @@ class StateSpace:
 
         Unlike :meth:`flip_bit` this is idempotent: re-asserting a
         stuck-at fault on an already-stuck bit is a no-op, including on
-        the rolling signature.  Returns True when the write changed the
+        the signature.  Returns True when the write changed the
         element.
         """
-        meta = self.elements[element_index]
-        values = self.values
-        old = values[element_index]
-        pick = 1 << (bit % meta.width)
+        handle = self.handles[element_index]
+        old = self.values[element_index]
+        pick = 1 << (bit % handle.width)
         new = (old | pick) if value else (old & ~pick)
         if new == old:
             return False
-        values[element_index] = new
-        if meta.category != StateCategory.GHOST:
-            self._sig[0] ^= (hash((element_index, old))
-                             ^ hash((element_index, new)))
+        Field.set(handle, new)
         return True
 
     def array_members(self, element_index):
@@ -427,7 +423,7 @@ class StateSpace:
         """Copy of all element values (ghosts included, for exact restore).
 
         Returns a :class:`StateSnapshot` carrying the current signature
-        so a later ``restore`` resets the rolling hash in O(1).
+        so a later ``restore`` resets it in O(1).
         """
         return StateSnapshot(self.values, self._sig[0])
 
@@ -439,18 +435,13 @@ class StateSpace:
         self._sig[0] = sig
 
     def signature(self, full=False):
-        """Hash of all non-ghost state (the microarchitectural-match check).
+        """Keyed sum over non-ghost state (the μArch-Match check).
 
-        The default path returns the incrementally-maintained rolling
-        hash (O(1)); ``full=True`` recomputes it from the values list,
-        the debug/verify path ``verify_golden`` checks against.
+        The default path returns the incrementally-maintained sum
+        (O(1)); ``full=True`` recomputes it from the values list, the
+        debug/verify path ``record_golden`` and ``verify_golden`` check
+        against.
         """
         if not full:
             return self._sig[0]
-        values = self.values
-        sig = 0
-        for meta in self.elements:
-            if meta.category != StateCategory.GHOST:
-                index = meta.index
-                sig ^= hash((index, values[index]))
-        return sig
+        return sum(map(mul, self.values, self._keys))

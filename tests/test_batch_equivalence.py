@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.chaos import ChaosEvent, ChaosSchedule, run_chaos_campaign
+from repro.errors import SimulationError
 from repro.inject.campaign import _KINDS, CampaignConfig
 from repro.inject.store import campaign_fingerprint, config_to_dict
 from repro.inject.trial import run_trial
@@ -104,6 +105,24 @@ def test_explicit_plans_match_scalar_injections(tmp_path, kinds):
             _FixedOffset(offset), context.kinds, "gzip", 0,
             horizon=config.horizon, trial_index=trial_index)
         assert batched == scalar
+
+
+def test_explicit_plan_that_disturbs_nothing_is_rejected(tmp_path):
+    """A mask with no bit inside its element could never diverge from
+    golden, so the walk's "dirty until written" premise would not hold."""
+    config = _config()
+    context = WorkerContext(config, golden_dir=str(tmp_path / "golden"))
+    state = context._prepare("gzip", 0)
+    space = state.pipeline.space
+    plans = plan_lanes(space, state.sp_rng, context.kinds, (0, 1))
+    _trial, element_index, _bit, _mask, fault = plans[1]
+    width = space.elements[element_index].width
+    plans[1] = (1, element_index, width, 1 << width, fault)
+    with pytest.raises(SimulationError, match="disturbs nothing"):
+        run_batch_group(
+            state.pipeline, state.checkpoint, state.golden, state.sp_rng,
+            context.kinds, "gzip", 0, (0, 1), horizon=config.horizon,
+            plans=plans)
 
 
 def _journal_fingerprint(directory):

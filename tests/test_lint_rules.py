@@ -419,6 +419,28 @@ def test_rep005_flags_cached_alias_writes(tmp_path):
     assert rules_of(result) == ["REP005"]
 
 
+def test_rep005_flags_signature_cell_stores(tmp_path):
+    result = lint_source(tmp_path, """
+    def fake_match(field, space, golden_sig, delta):
+        field._sig[0] = golden_sig
+        space._sig[0] += delta
+        space._sig = [golden_sig]
+        field._sig.append(0)
+    """, config=_REP005)
+    assert rules_of(result) == ["REP005"] * 4
+    messages = " ".join(f.message for f in result.findings)
+    assert "store to the ._sig signature cell" in messages
+    assert "._sig.append" in messages
+
+
+def test_rep005_signature_cell_reads_ok(tmp_path):
+    result = lint_source(tmp_path, """
+    def matches(space, golden_sig):
+        return space._sig[0] == golden_sig
+    """, config=_REP005)
+    assert rules_of(result) == []
+
+
 def test_rep005_reads_and_dict_views_ok(tmp_path):
     result = lint_source(tmp_path, """
     def observe(space, table):

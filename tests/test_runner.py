@@ -10,6 +10,7 @@ lists is a field-for-field (byte-identical) comparison.
 
 import json
 import os
+import signal
 
 import pytest
 
@@ -18,8 +19,10 @@ from repro.inject.campaign import Campaign, CampaignConfig
 from repro.inject.parallel import run_parallel
 from repro.runner import CampaignRunner, enumerate_units, run_campaign
 from repro.runner.journal import journal_path, metrics_path
+from repro.runner.pool import WorkerPool
 from repro.runner.telemetry import Telemetry
 from repro.runner.units import TrialUnit, auto_batch_size, batch_units
+from repro.uarch.config import PipelineConfig
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +151,21 @@ def test_worker_death_requeues_and_matches_serial(config, serial):
     result = runner.run()
     assert killed, "test never observed a busy worker to kill"
     assert result.trials == serial.trials
+
+
+def test_pool_shutdown_kills_a_stopped_worker(config):
+    """A SIGSTOPped worker ignores the stop sentinel and SIGTERM; left
+    alive, interpreter exit would join it forever."""
+    pool = WorkerPool(config, PipelineConfig.paper(config.protection), 1)
+    process = pool.workers[0].process
+    try:
+        os.kill(process.pid, signal.SIGSTOP)
+        pool.shutdown()
+        assert not process.is_alive()
+    finally:
+        if process.is_alive():
+            process.kill()
+            process.join(timeout=5.0)
 
 
 def test_resume_rejects_fingerprint_mismatch(tmp_path, config):

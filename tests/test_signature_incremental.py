@@ -2,13 +2,14 @@
 
 The property under test is the one ``verify_golden`` asserts at
 runtime: after *any* interleaving of field writes, bit flips,
-snapshots and restores, the XOR-rolled signature equals a full
-recompute -- and a copy-on-write (fast-path) restore leaves the
-pipeline bit-identical to a from-scratch (slow-path) restore.
+snapshots and restores, the incremental keyed signature equals a full
+recompute; no change to a single element leaves it unmoved; and a
+copy-on-write (fast-path) restore leaves the pipeline bit-identical to
+a from-scratch (slow-path) restore.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.uarch.core import Pipeline
@@ -88,6 +89,46 @@ def test_flip_bit_updates_signature_incrementally():
         space.flip_bit(element, bit)
     assert space.signature() == before
     assert space.signature() == space.signature(full=True)
+
+
+@pytest.mark.parametrize("golden, faulty", [
+    (7, 2**64 - 1),  # equal under CPython's modulo-(2**61 - 1) int hash
+    (0, 2**61 - 1),
+])
+def test_regfile_values_equal_mod_hash_modulus_differ(golden, faulty):
+    space = StateSpace()
+    word = space.field("r", 64, StateCategory.REGFILE, StorageKind.RAM)
+    space.freeze()
+    word.set(golden)
+    before = space.signature()
+    assert before == space.signature(full=True)
+    word.set(faulty)
+    assert space.signature() != before
+    assert space.signature(full=True) != before
+    assert space.signature() == space.signature(full=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(width=st.integers(min_value=1, max_value=65),
+       value=st.integers(min_value=0, max_value=2**65 - 1),
+       mask=st.integers(min_value=1, max_value=2**65 - 1))
+@example(width=64, value=7, mask=7 ^ (2**64 - 1))
+@example(width=65, value=0, mask=2**61 - 1)
+def test_every_in_width_fault_mask_moves_the_signature(width, value, mask):
+    top = (1 << width) - 1
+    mask &= top
+    assume(mask)
+    space = StateSpace()
+    space.field("pad", 8, StateCategory.CTRL, StorageKind.LATCH, reset=3)
+    field = space.field("x", width, StateCategory.REGFILE, StorageKind.RAM)
+    space.freeze()
+    field.set(value)
+    before = space.signature()
+    space.apply_fault(field.index, mask)
+    assert space.signature() != before
+    assert space.signature() == space.signature(full=True)
+    space.undo_fault(field.index, mask)
+    assert space.signature() == before
 
 
 def test_snapshot_carries_signature_and_pickles(tmp_path):
